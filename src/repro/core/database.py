@@ -17,12 +17,13 @@ against the very same index objects.
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Dict, Iterable, List, Optional
 
 from ..engine.executor import QueryEngine
 from ..engine.plan import QueryPlan, plan_diversified, plan_knn, plan_sk
-from ..errors import QueryError, ReproError
+from ..errors import GraphError, QueryError, ReproError
 from ..index.base import ObjectIndex
 from ..index.edge_store import EdgeStoreIndex
 from ..index.inverted_file import InvertedFileIndex
@@ -140,7 +141,6 @@ class Database:
         self.edge_rtree: RTree = build_edge_rtree(network, rtree_file)
         self.store = ObjectStore(network)
         self._kd_partition: Optional[KDTreePartition] = None
-        self._keyword_frequencies: Optional[Dict[str, int]] = None
         self._engine: Optional[QueryEngine] = None
         self._frozen = False
         #: Monotonic data epoch.  Every committed dynamic update —
@@ -181,7 +181,6 @@ class Database:
     ) -> SpatioTextualObject:
         """Add an object at a known network position."""
         self._ensure_not_frozen()
-        self._keyword_frequencies = None
         return self.store.add(position, keywords)
 
     def add_object_at_point(
@@ -189,7 +188,6 @@ class Database:
     ) -> SpatioTextualObject:
         """Add an object at a raw 2-d point, snapped to the closest edge."""
         self._ensure_not_frozen()
-        self._keyword_frequencies = None
         position = snap_point_to_edge(self.network, self.edge_rtree, point)
         return self.store.add(position, keywords)
 
@@ -222,7 +220,6 @@ class Database:
         cache and CH oracle stay valid.
         """
         self.ensure_frozen()
-        self._keyword_frequencies = None
         obj = self.store.add(position, keywords)
         self.store.resort_edge(position.edge_id)
         for index in indexes:
@@ -255,7 +252,6 @@ class Database:
         touching distance state.
         """
         self.ensure_frozen()
-        self._keyword_frequencies = None
         obj = self.store.remove(object_id)
         for index in indexes:
             delete = getattr(index, "delete_object", None)
@@ -296,6 +292,10 @@ class Database:
         """
         self.ensure_frozen()
         old = self.network.edge(edge_id)
+        if not (math.isfinite(weight) and weight > 0):
+            # Checked before any state changes: a NaN factor would
+            # rescale offsets and be journaled before the graph refused.
+            raise GraphError(f"edge {edge_id}: weight must be positive and finite")
         if weight == old.weight:
             return
         factor = weight / old.weight
@@ -464,15 +464,9 @@ class Database:
         self._engine = value
 
     def keyword_frequencies(self) -> Dict[str, int]:
-        """Document frequency of every keyword (cached; planner input).
-
-        The cache is invalidated by every object addition, so dynamic
-        insertions keep cost estimates honest.  Treat the returned
-        mapping as read-only.
-        """
-        if self._keyword_frequencies is None:
-            self._keyword_frequencies = self.store.keyword_frequencies()
-        return self._keyword_frequencies
+        """Document frequency of every keyword (a copy of the store's
+        counts, which every insert and delete keeps current)."""
+        return self.store.keyword_frequencies()
 
     # ------------------------------------------------------------------
     # Shared distance cache (warm-cache serving)
@@ -1046,7 +1040,7 @@ class Database:
         """Table-2-style statistics of the loaded dataset."""
         return {
             "num_objects": len(self.store),
-            "vocabulary_size": len(self.store.vocabulary()),
+            "vocabulary_size": self.store.vocabulary_size(),
             "avg_keywords": round(self.store.average_keywords_per_object(), 2),
             "num_nodes": self.network.num_nodes,
             "num_edges": self.network.num_edges,

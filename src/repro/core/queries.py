@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
@@ -35,8 +36,8 @@ class SKQuery:
     def __post_init__(self) -> None:
         if not self.terms:
             raise QueryError("an SK query needs at least one keyword")
-        if self.delta_max <= 0:
-            raise QueryError("delta_max must be positive")
+        if not (math.isfinite(self.delta_max) and self.delta_max > 0):
+            raise QueryError("delta_max must be positive and finite")
 
     @classmethod
     def create(
@@ -62,8 +63,8 @@ class DiversifiedSKQuery:
     def __post_init__(self) -> None:
         if not self.terms:
             raise QueryError("a diversified SK query needs at least one keyword")
-        if self.delta_max <= 0:
-            raise QueryError("delta_max must be positive")
+        if not (math.isfinite(self.delta_max) and self.delta_max > 0):
+            raise QueryError("delta_max must be positive and finite")
         if self.k < 2:
             raise QueryError("k must be at least 2")
         if not 0.0 <= self.lambda_ <= 1.0:

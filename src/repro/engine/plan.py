@@ -5,8 +5,9 @@ call site — SK search always ran INE to completion, diversified search
 took a ``method=`` string, kNN was its own entry point.  Diversified
 top-k engines are plan-then-execute pipelines (Qin et al.); this
 module supplies the *plan* half: a small, immutable description of how
-one query will run, with cost hints derived from the dataset's
-statistics and the query keywords' document frequencies.
+one query will run, with cost hints derived from the store's
+maintained catalogue counts and the query keywords' document
+frequencies.
 
 A :class:`QueryPlan` is pure metadata — building one touches no index
 pages and runs no Dijkstra.  The executor
@@ -47,12 +48,14 @@ _SEQ_CANDIDATE_FACTOR = 2
 class CostHints:
     """Planner-time cost estimates for one query.
 
-    All numbers derive from catalogue statistics
-    (:meth:`~repro.core.database.Database.dataset_statistics` and the
-    object store's keyword document frequencies) — nothing here reads
-    index pages.  ``estimated_matches`` assumes keyword independence:
-    ``N · Π(df_t / N)`` over the query terms, the textbook conjunctive
-    selectivity estimate; the rarest term bounds it from above.
+    All numbers derive from catalogue counts that the
+    :class:`~repro.network.objects.ObjectStore` maintains on every add
+    and remove (object count, vocabulary size, per-term document
+    frequencies) plus the network's edge count — reading them costs
+    O(|query terms|), and nothing here reads index pages.
+    ``estimated_matches`` assumes keyword independence: ``N · Π(df_t /
+    N)`` over the query terms, the textbook conjunctive selectivity
+    estimate; the rarest term bounds it from above.
     """
 
     num_objects: int
@@ -171,11 +174,12 @@ class QueryPlan:
 
 
 def _cost_hints(db: "Database", terms) -> CostHints:
-    stats = db.dataset_statistics()
-    frequencies = db.keyword_frequencies()
-    num_objects = int(stats["num_objects"])
+    # O(|terms|): the store keeps its catalogue counts current, so no
+    # read here walks the objects or iterates a shared dict.
+    store = db.store
+    num_objects = len(store)
     tf = tuple(sorted(
-        ((term, frequencies.get(term, 0)) for term in terms),
+        ((term, store.document_frequency(term)) for term in terms),
         key=lambda pair: (pair[1], pair[0]),
     ))
     estimated = float(num_objects)
@@ -183,8 +187,8 @@ def _cost_hints(db: "Database", terms) -> CostHints:
         estimated *= (df / num_objects) if num_objects else 0.0
     return CostHints(
         num_objects=num_objects,
-        num_edges=int(stats["num_edges"]),
-        vocabulary_size=int(stats["vocabulary_size"]),
+        num_edges=db.network.num_edges,
+        vocabulary_size=store.vocabulary_size(),
         term_frequencies=tf,
         estimated_matches=estimated,
         selectivity=(estimated / num_objects) if num_objects else 0.0,

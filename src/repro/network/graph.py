@@ -12,6 +12,7 @@ from the edge's reference node (the end-node with the smaller id).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -174,8 +175,8 @@ class RoadNetwork:
         ``Database.update_edge_weight`` for the orchestrated version.
         """
         old = self.edge(edge_id)
-        if weight <= 0:
-            raise GraphError(f"edge {edge_id}: weight must be positive")
+        if not (math.isfinite(weight) and weight > 0):
+            raise GraphError(f"edge {edge_id}: weight must be positive and finite")
         new = dataclasses.replace(old, weight=weight)
         self._edges[edge_id] = new
         for node_id in (new.n1, new.n2):

@@ -78,6 +78,11 @@ class ObjectStore:
         # after a remove(), aliasing a new object with postings that
         # still reference the deleted one.
         self._next_id = 0
+        # Catalogue counts kept by add()/remove() so statistics never
+        # walk the objects: documents per term (a term leaves when its
+        # count reaches 0) and the total of keyword occurrences.
+        self._doc_freq: Dict[str, int] = {}
+        self._keyword_total = 0
 
     # ------------------------------------------------------------------
     # Construction
@@ -98,6 +103,9 @@ class ObjectStore:
         self._next_id += 1
         self._objects[obj.object_id] = obj
         self._by_edge.setdefault(position.edge_id, []).append(obj.object_id)
+        for term in kw:
+            self._doc_freq[term] = self._doc_freq.get(term, 0) + 1
+        self._keyword_total += len(kw)
         return obj
 
     def remove(self, object_id: int) -> SpatioTextualObject:
@@ -114,6 +122,13 @@ class ObjectStore:
             ids.remove(object_id)
             if not ids:
                 del self._by_edge[obj.position.edge_id]
+        for term in obj.keywords:
+            remaining = self._doc_freq[term] - 1
+            if remaining:
+                self._doc_freq[term] = remaining
+            else:
+                del self._doc_freq[term]
+        self._keyword_total -= len(obj.keywords)
         return obj
 
     def rescale_edge_offsets(self, edge_id: int, factor: float) -> None:
@@ -175,26 +190,29 @@ class ObjectStore:
         return self._network.position_point(self.get(object_id).position)
 
     # ------------------------------------------------------------------
-    # Statistics (Table 2)
+    # Statistics (Table 2), read from the counts add()/remove() keep
     # ------------------------------------------------------------------
     def vocabulary(self) -> FrozenSet[str]:
-        vocab = set()
-        for obj in self._objects.values():
-            vocab.update(obj.keywords)
-        return frozenset(vocab)
+        return frozenset(self._doc_freq)
+
+    def vocabulary_size(self) -> int:
+        return len(self._doc_freq)
+
+    def document_frequency(self, term: str) -> int:
+        """Number of objects containing ``term`` (0 if none)."""
+        return self._doc_freq.get(term, 0)
 
     def keyword_frequencies(self) -> Dict[str, int]:
-        """Term frequency (number of objects containing each keyword)."""
-        freq: Dict[str, int] = {}
-        for obj in self._objects.values():
-            for term in obj.keywords:
-                freq[term] = freq.get(term, 0) + 1
-        return freq
+        """Term frequency (number of objects containing each keyword).
+
+        Returns a copy; callers may mutate it freely.
+        """
+        return dict(self._doc_freq)
 
     def average_keywords_per_object(self) -> float:
         if not self._objects:
             return 0.0
-        return sum(len(o.keywords) for o in self._objects.values()) / len(self._objects)
+        return self._keyword_total / len(self._objects)
 
 
 def build_edge_rtree(network: RoadNetwork, file) -> RTree:

@@ -20,7 +20,8 @@ Routes
 ``/vars``      the full JSON snapshot: registry counters + histogram
                summaries, database gauges, the current sliding-window
                rollup and the live SLO verdict when installed.
-``/slowlog``   recent slow-query records as JSON (``?limit=N``;
+``/slowlog``   recent slow-query records as JSON (``?limit=N``, the
+               newest N; a negative N is a 400;
                span trees stripped unless ``?trace=1`` — they dwarf
                the rest of the record).
 ``/profile``   the sampling profiler's folded stacks (flamegraph.pl
@@ -47,7 +48,7 @@ import json
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from .export import database_gauges, prometheus_text
@@ -57,6 +58,21 @@ __all__ = ["TelemetryServer", "PROMETHEUS_CONTENT_TYPE"]
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 _JSON = "application/json; charset=utf-8"
 _TEXT = "text/plain; charset=utf-8"
+
+
+def _newest(records: List[Any], query) -> Optional[List[Any]]:
+    """The newest ``?limit=N`` records (all without a limit, none for
+    ``N = 0``); ``None`` when ``N`` is not a non-negative integer."""
+    limit = query.get("limit")
+    if not limit:
+        return records
+    try:
+        n = int(limit[0])
+    except ValueError:
+        return None
+    if n < 0:
+        return None
+    return records[-n:] if n else []
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -212,13 +228,9 @@ class TelemetryServer:
             return self._json(
                 {"installed": False, "records": []}, status=200
             )
-        records = log.records()
-        limit = query.get("limit")
-        if limit:
-            try:
-                records = records[-int(limit[0]):]
-            except ValueError:
-                return 400, _TEXT, b"limit must be an integer\n"
+        records = _newest(log.records(), query)
+        if records is None:
+            return 400, _TEXT, b"limit must be a non-negative integer\n"
         want_trace = query.get("trace", ["0"])[0] not in ("0", "", "false")
         if not want_trace:
             records = [
@@ -248,13 +260,9 @@ class TelemetryServer:
         recorder = getattr(self.db, "flight_recorder", None)
         if recorder is None:
             return self._json({"installed": False, "records": []})
-        records = recorder.records()
-        limit = query.get("limit")
-        if limit:
-            try:
-                records = records[-int(limit[0]):]
-            except ValueError:
-                return 400, _TEXT, b"limit must be an integer\n"
+        records = _newest(recorder.records(), query)
+        if records is None:
+            return 400, _TEXT, b"limit must be a non-negative integer\n"
         want_stats = query.get("stats", ["0"])[0] not in ("0", "", "false")
         if not want_stats:
             # Stats snapshots dwarf the rest of a flight record; strip

@@ -83,6 +83,17 @@ class TestQueryValidation:
         with pytest.raises(QueryError):
             SKQuery.create(NetworkPosition(0, 0.0), ["a"], 0.0)
 
+    @pytest.mark.parametrize(
+        "delta_max", [float("nan"), float("inf"), float("-inf")]
+    )
+    def test_nonfinite_delta_max(self, delta_max):
+        with pytest.raises(QueryError):
+            SKQuery.create(NetworkPosition(0, 0.0), ["a"], delta_max)
+        with pytest.raises(QueryError):
+            DiversifiedSKQuery.create(
+                NetworkPosition(0, 0.0), ["a"], delta_max, k=4
+            )
+
     def test_bad_k(self):
         with pytest.raises(QueryError):
             DiversifiedSKQuery.create(NetworkPosition(0, 0.0), ["a"], 100.0, k=1)

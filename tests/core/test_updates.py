@@ -113,6 +113,28 @@ class TestDatabaseUpdates:
         with pytest.raises(GraphError):
             live_db.update_edge_weight(0, 0.0)
 
+    @pytest.mark.parametrize(
+        "weight", [float("nan"), float("inf"), float("-inf"), -5.0]
+    )
+    def test_rejected_reweight_changes_nothing(self, live_db, weight):
+        edge = live_db.network.edge(0)
+        offsets = [o.position.offset for o in live_db.store.objects_on_edge(0)]
+        with pytest.raises(GraphError):
+            live_db.update_edge_weight(0, weight)
+        assert live_db.data_version == 0
+        assert len(live_db.update_journal) == 0
+        assert live_db.network.edge(0) == edge
+        assert [
+            o.position.offset for o in live_db.store.objects_on_edge(0)
+        ] == offsets
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_network_rejects_nonfinite_weight(self, grid_network9, weight):
+        edge = grid_network9.edge(0)
+        with pytest.raises(GraphError):
+            grid_network9.update_edge_weight(0, weight)
+        assert grid_network9.edge(0) == edge
+
     def test_reweight_invalidates_shared_cache(self, live_db):
         cache = live_db.use_shared_distance_cache(max_entries=1000)
         cache.put((0, 1.0, 5.0), {1: 1.0}, epoch=0)

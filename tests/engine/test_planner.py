@@ -6,6 +6,7 @@ from repro.core.knn import SKkNNQuery
 from repro.core.queries import DiversifiedSKQuery
 from repro.engine import QueryPlan, plan_diversified, plan_knn, plan_sk
 from repro.errors import QueryError
+from repro.network.objects import ObjectStore
 from repro.workloads.queries import (
     WorkloadConfig,
     generate_diversified_queries,
@@ -120,3 +121,30 @@ class TestDiversifiedChoice:
         )
         assert plan.enable_pruning is False
         assert plan.landmarks is None
+
+
+class _NoScanDict(dict):
+    """An object map whose iteration fails the test."""
+
+    def _scan(self, *args):
+        raise AssertionError("planner walked the object map")
+
+    __iter__ = values = items = keys = _scan
+
+
+class TestPlanningReadsMaintainedCounts:
+    def test_planning_never_walks_the_store(
+        self, tiny_db, sif, sk_query, div_query, monkeypatch
+    ):
+        # Cost hints read the counts ObjectStore keeps on add/remove;
+        # a rescan of the objects per plan must not come back.
+        def no_scan(self):
+            raise AssertionError("planner iterated the object store")
+
+        store = tiny_db.store
+        monkeypatch.setattr(ObjectStore, "__iter__", no_scan)
+        monkeypatch.setattr(store, "_objects", _NoScanDict(store._objects))
+        knn = SKkNNQuery.create(div_query.position, div_query.terms, k=3)
+        assert plan_sk(tiny_db, sif, sk_query).hints.num_objects == len(store)
+        assert plan_knn(tiny_db, sif, knn).hints is not None
+        assert plan_diversified(tiny_db, sif, div_query).hints is not None

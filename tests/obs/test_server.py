@@ -119,6 +119,30 @@ class TestRoutes:
         finally:
             db.disable_slow_query_log()
 
+    @pytest.mark.parametrize("route", ["/slowlog", "/recorder"])
+    def test_limit_keeps_the_newest_records(self, served, route):
+        db, index, server = served
+        db.enable_slow_query_log(latency_seconds=0.0)
+        db.enable_flight_recorder()
+        try:
+            run_queries(db, index, n=4)
+            _, _, body = get(server, route)
+            every = json.loads(body)["records"]
+            assert len(every) >= 4
+            _, _, body = get(server, f"{route}?limit=3")
+            assert json.loads(body)["records"] == every[-3:]
+            _, _, body = get(server, f"{route}?limit=0")
+            assert json.loads(body)["records"] == []
+            _, _, body = get(server, f"{route}?limit={len(every) + 5}")
+            assert json.loads(body)["records"] == every
+            for bad in ("-3", "x"):
+                with pytest.raises(urllib.error.HTTPError) as err:
+                    get(server, f"{route}?limit={bad}")
+                assert err.value.code == 400
+        finally:
+            db.disable_slow_query_log()
+            db.disable_flight_recorder()
+
     def test_profile_route(self, served):
         db, index, server = served
         profiler = db.enable_profiler(hz=200.0)
