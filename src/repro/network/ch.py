@@ -167,11 +167,12 @@ class ContractionHierarchy:
         provider = _DictAdjacency(adj)
         deleted: Dict[int, int] = {node_id: 0 for node_id in adj}
 
-        def priority(v: int) -> float:
-            shortcuts = len(self._required_shortcuts(adj, provider, v))
-            return shortcuts - len(adj[v]) + deleted[v]
+        def priority(v: int) -> Tuple[float, List[Tuple[int, int, float]]]:
+            """v's contraction cost and the shortcuts behind it."""
+            shortcuts = self._required_shortcuts(adj, provider, v)
+            return len(shortcuts) - len(adj[v]) + deleted[v], shortcuts
 
-        heap: List[Tuple[float, int]] = [(priority(v), v) for v in adj]
+        heap: List[Tuple[float, int]] = [(priority(v)[0], v) for v in adj]
         heapq.heapify(heap)
         order = 0
         while heap:
@@ -180,12 +181,14 @@ class ContractionHierarchy:
                 continue
             # Lazy update: neighbours contracted since this entry was
             # pushed may have changed v's cost; recompute and re-queue
-            # unless v still (weakly) beats the next candidate.
-            current = priority(v)
+            # unless v still (weakly) beats the next candidate.  On
+            # acceptance ``adj`` is unchanged since that witness pass,
+            # so its shortcut list is exactly the one to insert.
+            current, shortcuts = priority(v)
             if heap and current > heap[0][0]:
                 heapq.heappush(heap, (current, v))
                 continue
-            for u, w, via in self._required_shortcuts(adj, provider, v):
+            for u, w, via in shortcuts:
                 existing = adj[u].get(w)
                 if existing is None or via < existing:
                     adj[u][w] = via

@@ -109,6 +109,12 @@ class TestDatabaseUpdates:
         assert live_db.data_version == 0
         assert len(live_db.update_journal) == 0
 
+    def test_nan_offset_insert_rejected(self, live_db):
+        with pytest.raises(GraphError):
+            live_db.insert_object(NetworkPosition(0, float("nan")), {"pizza"})
+        assert live_db.data_version == 0
+        assert len(live_db.update_journal) == 0
+
     def test_reweight_rejects_nonpositive_weight(self, live_db):
         with pytest.raises(GraphError):
             live_db.update_edge_weight(0, 0.0)

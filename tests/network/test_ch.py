@@ -6,6 +6,7 @@ Dijkstra backend — exact distances, the same-edge rule, and the cutoff
 road networks.
 """
 
+import heapq
 import math
 import random
 
@@ -14,7 +15,8 @@ import pytest
 
 from repro.datasets.synthetic import grid_network, random_planar_network
 from repro.errors import GraphError
-from repro.network.ch import ContractionHierarchy
+from repro.network import ch as ch_module
+from repro.network.ch import ContractionHierarchy, _DictAdjacency
 from repro.network.distance import (
     BackendCounters,
     PairwiseDistanceComputer,
@@ -84,6 +86,97 @@ class TestConstruction:
         network.add_node(0, 0.0, 0.0)
         ch = ContractionHierarchy(network)
         assert ch.node_distance(0, 0) == 0.0
+
+
+class ReferenceLoopCH(ContractionHierarchy):
+    """The contraction loop with a second witness pass per contracted
+    node: ``priority`` keeps only the count, and the accepted node's
+    shortcuts are searched again before insertion."""
+
+    def _contract_all(self):
+        adj = {node.node_id: {} for node in self._network.nodes()}
+        for edge in self._network.edges():
+            for a, b in ((edge.n1, edge.n2), (edge.n2, edge.n1)):
+                cur = adj[a].get(b)
+                if cur is None or edge.weight < cur:
+                    adj[a][b] = edge.weight
+        provider = _DictAdjacency(adj)
+        deleted = {node_id: 0 for node_id in adj}
+
+        def priority(v):
+            shortcuts = len(self._required_shortcuts(adj, provider, v))
+            return shortcuts - len(adj[v]) + deleted[v]
+
+        heap = [(priority(v), v) for v in adj]
+        heapq.heapify(heap)
+        order = 0
+        while heap:
+            _, v = heapq.heappop(heap)
+            if v in self.rank:
+                continue
+            current = priority(v)
+            if heap and current > heap[0][0]:
+                heapq.heappush(heap, (current, v))
+                continue
+            for u, w, via in self._required_shortcuts(adj, provider, v):
+                existing = adj[u].get(w)
+                if existing is None or via < existing:
+                    adj[u][w] = via
+                    adj[w][u] = via
+                    if existing is None:
+                        self.shortcuts_added += 1
+            self._up[v] = sorted(adj[v].items())
+            for u in adj[v]:
+                del adj[u][v]
+                deleted[u] += 1
+            del adj[v]
+            self.rank[v] = order
+            order += 1
+
+
+class TestContractionWork:
+    @pytest.mark.parametrize("seed,nodes", [(0, 30), (4, 60), (21, 90)])
+    def test_hierarchy_equals_reference_loop(self, seed, nodes):
+        network = random_planar_network(nodes, seed=seed)
+        ch = ContractionHierarchy(network)
+        ref = ReferenceLoopCH(network)
+        assert ch.rank == ref.rank
+        assert ch._up == ref._up
+        assert ch.shortcuts_added == ref.shortcuts_added
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_one_witness_pass_per_priority_evaluation(self, monkeypatch, seed):
+        # priority() runs once per node up front and once per pop of an
+        # uncontracted node; contracting must reuse the accepted pop's
+        # shortcut list rather than search again.
+        calls = []
+        original = ContractionHierarchy._required_shortcuts
+
+        def counting(self, adj, provider, v):
+            calls.append(self)
+            return original(self, adj, provider, v)
+
+        evaluated_pops = []
+
+        class CountingHeapq:
+            heapify = staticmethod(heapq.heapify)
+            heappush = staticmethod(heapq.heappush)
+
+            @staticmethod
+            def heappop(heap):
+                item = heapq.heappop(heap)
+                if item[1] not in calls[-1].rank:
+                    evaluated_pops.append(item[1])
+                return item
+
+        monkeypatch.setattr(
+            ContractionHierarchy, "_required_shortcuts", counting
+        )
+        monkeypatch.setattr(ch_module, "heapq", CountingHeapq)
+        network = random_planar_network(60, seed=seed)
+        ch = ContractionHierarchy(network)
+        assert len(evaluated_pops) >= network.num_nodes
+        assert len(calls) == network.num_nodes + len(evaluated_pops)
 
 
 class TestNodeDistances:

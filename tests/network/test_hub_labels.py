@@ -67,7 +67,11 @@ class TestConstruction:
         assert stats["nodes"] == 40
         assert stats["labels"] == 40
         assert stats["label_entries"] == hub.label_entries
-        assert stats["build_seconds"] >= 0.0
+        assert stats["sweep_seconds"] >= 0.0
+        assert stats["prune_seconds"] >= 0.0
+        assert stats["build_seconds"] == (
+            stats["sweep_seconds"] + stats["prune_seconds"]
+        )
         assert stats["ch_shortcuts_added"] == hub.ch.shortcuts_added
 
     def test_missing_numpy_raises_dependency_error(self, monkeypatch):

@@ -70,6 +70,22 @@ class TestCommands:
         assert len(build_records) == 1
         assert build_records[0]["preprocess_seconds"] > 0
 
+    def test_hub_build_record_splits_build_time(self, tmp_path, capsys):
+        path = tmp_path / "metrics.jsonl"
+        assert main([
+            "diversify", "SYN", "--scale", "0.05", "--queries", "2",
+            "--keywords", "2", "--k", "4", "--distance-backend", "hub",
+            "--metrics", str(path),
+        ]) == 0
+        capsys.readouterr()
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        (build,) = [r for r in records if r["type"] == "hub_build"]
+        assert build["sweep_seconds"] > 0
+        assert build["prune_seconds"] > 0
+        assert build["build_seconds"] == (
+            build["sweep_seconds"] + build["prune_seconds"]
+        )
+
     def test_explain_ch_backend(self, capsys):
         assert main([
             "explain", "SYN", "--scale", "0.05", "--keywords", "2",
